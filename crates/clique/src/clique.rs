@@ -158,6 +158,9 @@ pub struct Clique {
     /// `stats` — the transport's counter is cumulative for its lifetime,
     /// while `stats` is per-run (it survives `reset`).
     sim_seen: u64,
+    /// Relay draws, per-link word counts, and per-link buffers of
+    /// [`Clique::route`] and [`Clique::gossip`], reused across calls.
+    staging: RouteStaging,
 }
 
 impl Clique {
@@ -211,6 +214,7 @@ impl Clique {
             exec,
             cfg,
             sim_seen: 0,
+            staging: RouteStaging::default(),
         }
     }
 
@@ -409,7 +413,7 @@ impl Clique {
         self.require_unicast("exchange");
         for v in 0..self.n {
             for (dst, words) in messages(v) {
-                self.net.enqueue(v, dst, &words);
+                self.net.enqueue(v, dst, words);
             }
         }
         let (inboxes, loads) = self.net.flush();
@@ -444,6 +448,11 @@ impl Clique {
     /// all nodes in advance, so no destination headers are transmitted). For
     /// data-dependent patterns use [`Clique::route_dynamic`], which charges
     /// one extra header word per message.
+    ///
+    /// Each phase hands the transport one contiguous run per link, holding
+    /// that link's words in message-collection order — exactly the stream
+    /// word-by-word sends would build, so the bytes on the wire, the loads,
+    /// and the fingerprints are unchanged.
     pub fn route<F>(&mut self, messages: F) -> Inboxes
     where
         F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
@@ -519,12 +528,11 @@ impl Clique {
         // is shipped to its relay, the round barrier runs, and the relays'
         // forwards are shipped and flushed in turn. Charged loads come from
         // the fabric's accounting of that traffic.
-        let mut a_out = vec![0usize; n * n];
-        let mut b_out = vec![0usize; n * n];
-        let mut relays: Vec<Vec<usize>> = Vec::with_capacity(msgs.len());
+        let mut s = std::mem::take(&mut self.staging);
+        s.begin(n * n);
+        let payload = if charge_headers { 2 } else { 1 };
         for (src, dst, words) in &msgs {
-            let mut msg_relays = Vec::with_capacity(words.len());
-            for (j, w) in words.iter().enumerate() {
+            for j in 0..words.len() {
                 let h = splitmix(
                     self.cfg.route_seed ^ ((*src as u64) << 42) ^ ((*dst as u64) << 21) ^ j as u64,
                 );
@@ -533,7 +541,7 @@ impl Clique {
                     RelayPolicy::SingleHash => r1,
                     RelayPolicy::TwoChoice => {
                         let r2 = ((h >> 32) % n as u64) as usize;
-                        let cost = |r: usize| a_out[src * n + r].max(b_out[r * n + dst]);
+                        let cost = |r: usize| s.a_out[src * n + r].max(s.b_out[r * n + dst]);
                         if cost(r1) <= cost(r2) {
                             r1
                         } else {
@@ -541,33 +549,40 @@ impl Clique {
                         }
                     }
                 };
-                let payload = if charge_headers { 2 } else { 1 };
-                a_out[src * n + relay] += payload;
-                b_out[relay * n + dst] += payload;
-                if charge_headers {
-                    self.net.enqueue(*src, relay, &[*w, *dst as Word]);
-                } else {
-                    self.net.enqueue(*src, relay, &[*w]);
-                }
-                msg_relays.push(relay);
+                s.a_out[src * n + relay] += payload;
+                s.b_out[relay * n + dst] += payload;
+                s.relays.push(relay as u32);
             }
-            relays.push(msg_relays);
         }
-        let (_, phase_a) = self.net.flush();
-        self.charge_loads(&phase_a);
 
-        // Phase B: every relay forwards its words to their destinations.
-        for ((_src, dst, words), msg_relays) in msgs.iter().zip(&relays) {
-            for (w, &relay) in words.iter().zip(msg_relays) {
-                if charge_headers {
-                    self.net.enqueue(relay, *dst, &[*w, *dst as Word]);
-                } else {
-                    self.net.enqueue(relay, *dst, &[*w]);
+        // Phase A: every word travels to its relay. Phase B: every relay
+        // forwards its words to their destinations. `a_out`/`b_out` are the
+        // per-link word counts, so each link's buffer is sized once, filled
+        // in message-collection order, and moved into the transport.
+        for phase_b in [false, true] {
+            let counts = if phase_b { &s.b_out } else { &s.a_out };
+            s.lanes.reserve(counts);
+            let mut k = 0;
+            for (src, dst, words) in &msgs {
+                for (&w, &relay) in words.iter().zip(&s.relays[k..k + words.len()]) {
+                    let relay = relay as usize;
+                    let link = if phase_b {
+                        relay * n + dst
+                    } else {
+                        src * n + relay
+                    };
+                    s.lanes.push(link, w);
+                    if charge_headers {
+                        s.lanes.push(link, *dst as Word);
+                    }
                 }
+                k += words.len();
             }
+            s.lanes.ship(&mut self.net, |link| (link / n, link % n));
+            let (_, loads) = self.net.flush();
+            self.charge_loads(&loads);
         }
-        let (_, phase_b) = self.net.flush();
-        self.charge_loads(&phase_b);
+        self.staging = s;
 
         // Deliver whole messages in collection order: per-link word streams
         // are interleaved across relays on the wire, so reassembly per
@@ -730,18 +745,28 @@ impl Clique {
 
         // Phase A: spread words over relays (balanced). Each contributed
         // word physically travels to its relay through the transport, and
-        // the phase is charged from the fabric's accounting.
+        // the phase is charged from the fabric's accounting. A source's
+        // words are staged per relay link and shipped once per link.
         let mut relay_load = vec![0usize; n];
         let mut assigned: Vec<Vec<Word>> = vec![Vec::new(); n];
+        let mut s = std::mem::take(&mut self.staging);
         for (src, words) in contributions.iter().enumerate() {
+            s.begin(n);
             for (j, w) in words.iter().enumerate() {
                 let relay =
                     splitmix(self.cfg.route_seed ^ ((src as u64) << 32) ^ j as u64) as usize % n;
                 relay_load[relay] += 1;
                 assigned[relay].push(*w);
-                self.net.enqueue(src, relay, &[*w]);
+                s.a_out[relay] += 1;
+                s.relays.push(relay as u32);
             }
+            s.lanes.reserve(&s.a_out);
+            for (&w, &relay) in words.iter().zip(&s.relays) {
+                s.lanes.push(relay as usize, w);
+            }
+            s.lanes.ship(&mut self.net, |relay| (src, relay));
         }
+        self.staging = s;
         let (_, phase_a) = self.net.flush();
         self.charge_loads(&phase_a);
 
@@ -797,6 +822,63 @@ impl Clique {
     {
         let words = self.broadcast(|v| value_of(v) as u64);
         words.into_iter().map(|w| w as i64).min().expect("n >= 2")
+    }
+}
+
+/// Scratch for the relay primitives, kept on the [`Clique`] so repeated
+/// calls reuse its buffers: cleared between calls, never freed.
+#[derive(Debug, Default)]
+struct RouteStaging {
+    /// The relay drawn for each word, flat in message-collection order.
+    relays: Vec<u32>,
+    /// Phase A words per `(src, relay)` link, indexed `src * n + relay`.
+    a_out: Vec<usize>,
+    /// Phase B words per `(relay, dst)` link, indexed `relay * n + dst`.
+    b_out: Vec<usize>,
+    /// One phase's traffic, one buffer per link.
+    lanes: Lanes,
+}
+
+impl RouteStaging {
+    /// Clears the relay list and zeroes `links` per-link counters.
+    fn begin(&mut self, links: usize) {
+        self.relays.clear();
+        for counts in [&mut self.a_out, &mut self.b_out] {
+            counts.clear();
+            counts.resize(links, 0);
+        }
+    }
+}
+
+/// One phase's traffic as one buffer per link: sized from the per-link
+/// word counts, filled in send order, and moved whole into the transport,
+/// so each link's words reach the fabric in one call, in the order
+/// word-by-word sends would have queued them.
+#[derive(Debug, Default)]
+struct Lanes(Vec<Vec<Word>>);
+
+impl Lanes {
+    /// Sizes one empty buffer per link to hold `counts[link]` words.
+    fn reserve(&mut self, counts: &[usize]) {
+        self.0.resize_with(counts.len(), Vec::new);
+        for (lane, &c) in self.0.iter_mut().zip(counts) {
+            lane.reserve_exact(c);
+        }
+    }
+
+    fn push(&mut self, link: usize, w: Word) {
+        self.0[link].push(w);
+    }
+
+    /// Moves every non-empty buffer onto its link, `link_of` mapping a
+    /// buffer index to `(src, dst)`, leaving the buffers empty.
+    fn ship(&mut self, net: &mut Network, link_of: impl Fn(usize) -> (usize, usize)) {
+        for (i, lane) in self.0.iter_mut().enumerate() {
+            if !lane.is_empty() {
+                let (src, dst) = link_of(i);
+                net.enqueue(src, dst, std::mem::take(lane));
+            }
+        }
     }
 }
 
@@ -1084,6 +1166,36 @@ mod tests {
         assert_eq!(c.sim_time_ns(), 0, "reset re-anchors simulated time");
         c.broadcast(|v| v as u64);
         assert!(c.sim_time_ns() > 0, "post-reset barriers accrue fresh time");
+    }
+
+    #[test]
+    fn staged_lanes_match_word_by_word_sends() {
+        use cc_transport::InMemoryTransport;
+        let n = 3;
+        let net = || {
+            let exec = Executor::new(ExecutorKind::Sequential);
+            Network::new(n, Box::new(InMemoryTransport::new(n, exec)))
+        };
+        // (link, word) in send order: repeated links, a self link (4), and
+        // links left empty.
+        let pushes = [(1, 10), (5, 11), (1, 12), (4, 13), (5, 14), (1, 15)];
+        let mut counts = vec![0; n * n];
+        for (link, _) in pushes {
+            counts[link] += 1;
+        }
+        let (mut staged, mut per_word) = (net(), net());
+        let mut lanes = Lanes::default();
+        lanes.reserve(&counts);
+        for (link, w) in pushes {
+            lanes.push(link, w);
+            per_word.enqueue(link / n, link % n, vec![w]);
+        }
+        lanes.ship(&mut staged, |link| (link / n, link % n));
+        assert!(
+            lanes.0.iter().all(Vec::is_empty),
+            "shipping empties the lanes"
+        );
+        assert_eq!(staged.flush_full(), per_word.flush_full());
     }
 
     #[test]

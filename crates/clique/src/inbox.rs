@@ -23,8 +23,15 @@ impl Inboxes {
         }
     }
 
-    pub(crate) fn push(&mut self, dst: usize, src: usize, words: impl IntoIterator<Item = Word>) {
-        self.data[dst][src].extend(words);
+    /// Appends `words` to what `dst` received from `src`, moving the buffer
+    /// into an empty slot instead of copying it.
+    pub(crate) fn push(&mut self, dst: usize, src: usize, words: Vec<Word>) {
+        let slot = &mut self.data[dst][src];
+        if slot.is_empty() {
+            *slot = words;
+        } else {
+            slot.extend(words);
+        }
     }
 
     /// Builds inboxes from per-destination rows (used by the sharded flush,
@@ -112,7 +119,7 @@ mod tests {
     #[test]
     fn push_and_decode() {
         let mut ib = Inboxes::new(3);
-        ib.push(1, 0, [5u64, 6, 7]);
+        ib.push(1, 0, vec![5, 6, 7]);
         assert_eq!(ib.received(1, 0), &[5, 6, 7]);
         assert_eq!(ib.total_received(1), 3);
         assert_eq!(ib.total_received(0), 0);
@@ -123,10 +130,19 @@ mod tests {
     }
 
     #[test]
+    fn repeated_pushes_concatenate() {
+        let mut ib = Inboxes::new(2);
+        ib.push(0, 1, vec![1, 2]);
+        ib.push(0, 1, vec![]);
+        ib.push(0, 1, vec![3]);
+        assert_eq!(ib.received(0, 1), &[1, 2, 3]);
+    }
+
+    #[test]
     fn sources_skips_empty() {
         let mut ib = Inboxes::new(4);
-        ib.push(2, 0, [1u64]);
-        ib.push(2, 3, [9u64, 8]);
+        ib.push(2, 0, vec![1]);
+        ib.push(2, 3, vec![9, 8]);
         let got: Vec<(usize, usize)> = ib.sources(2).map(|(s, w)| (s, w.len())).collect();
         assert_eq!(got, vec![(0, 1), (3, 2)]);
     }
@@ -135,7 +151,7 @@ mod tests {
     #[should_panic(expected = "trailing words")]
     fn decode_rejects_wrong_count() {
         let mut ib = Inboxes::new(2);
-        ib.push(0, 1, [1u64, 2]);
+        ib.push(0, 1, vec![1, 2]);
         let _: Vec<u64> = ib.decode(0, 1, 1);
     }
 }

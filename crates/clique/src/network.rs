@@ -35,13 +35,15 @@ impl Network {
         Self { n, transport }
     }
 
-    pub(crate) fn enqueue(&mut self, src: usize, dst: usize, words: &[Word]) {
+    /// Queues `words` on the `(src, dst)` link, handing the buffer to the
+    /// transport by move.
+    pub(crate) fn enqueue(&mut self, src: usize, dst: usize, words: Vec<Word>) {
         assert!(
             src < self.n && dst < self.n,
             "node index out of range (n={})",
             self.n
         );
-        self.transport.send(src, dst, words);
+        self.transport.send_vec(src, dst, words);
     }
 
     /// Queues a broadcast slab from `src` (delivered to every node, the
@@ -124,9 +126,9 @@ mod tests {
     #[test]
     fn flush_counts_max_queue_as_rounds() {
         let mut net = net(3);
-        net.enqueue(0, 1, &[1, 2, 3]);
-        net.enqueue(1, 2, &[4]);
-        net.enqueue(2, 0, &[5, 6]);
+        net.enqueue(0, 1, vec![1, 2, 3]);
+        net.enqueue(1, 2, vec![4]);
+        net.enqueue(2, 0, vec![5, 6]);
         let (ib, loads) = net.flush();
         assert_eq!(loads.rounds(), 3);
         assert_eq!(loads.words(), 6);
@@ -142,8 +144,8 @@ mod tests {
     #[test]
     fn self_messages_are_free() {
         let mut net = net(2);
-        net.enqueue(0, 0, &[7, 8, 9]);
-        net.enqueue(0, 1, &[1]);
+        net.enqueue(0, 0, vec![7, 8, 9]);
+        net.enqueue(0, 1, vec![1]);
         let (ib, loads) = net.flush();
         assert_eq!(loads.rounds(), 1);
         assert_eq!(loads.words(), 1);
@@ -160,11 +162,11 @@ mod tests {
                         let words: Vec<Word> = (0..(src + dst) as u64 % 5)
                             .map(|w| w + 10 * src as u64)
                             .collect();
-                        net.enqueue(src, dst, &words);
+                        net.enqueue(src, dst, words);
                     }
                 }
             }
-            net.enqueue(0, 1, &[99, 98, 97]);
+            net.enqueue(0, 1, vec![99, 98, 97]);
             net.enqueue_broadcast(4, vec![1, 2].into());
         };
         let mut reference = net(7);
@@ -193,6 +195,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn enqueue_validates_indices() {
         let mut net = net(2);
-        net.enqueue(0, 5, &[1]);
+        net.enqueue(0, 5, vec![1]);
     }
 }

@@ -18,6 +18,14 @@ impl LinkLoads {
         Self::default()
     }
 
+    /// Creates an empty load set with room for `links` entries.
+    #[must_use]
+    pub fn with_capacity(links: usize) -> Self {
+        Self {
+            loads: Vec::with_capacity(links),
+        }
+    }
+
     /// Records `words` on the `(src, dst)` link. Zero-word entries and
     /// self-links are ignored. Callers must add entries in canonical
     /// `(src, dst)` order for fingerprints to be executor-independent.

@@ -181,7 +181,7 @@ impl Transport for ChannelTransport {
                 .into_iter()
                 .map(|d| d.expect("every node committed"))
                 .collect(),
-            loads: merge_loads(all_loads),
+            loads: merge_loads(n, &all_loads),
         }
     }
 

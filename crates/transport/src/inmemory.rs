@@ -99,7 +99,7 @@ impl Transport for InMemoryTransport {
         self.epoch += 1;
         RoundDelivery {
             inboxes,
-            loads: merge_loads(all_loads),
+            loads: merge_loads(n, &all_loads),
         }
     }
 

@@ -4,7 +4,7 @@
 //! each node's next inbox and the per-link word counts are charged. This
 //! crate makes the fabric carrying that traffic **pluggable**: the
 //! [`Transport`] trait covers per-round send/recv, the barrier rendezvous,
-//! and per-link word accounting, and three deterministic backends implement
+//! and per-link word accounting, and four deterministic backends implement
 //! it:
 //!
 //! * [`InMemoryTransport`] — the classical single-process fabric: a
@@ -116,7 +116,8 @@ pub struct RoundDelivery {
 /// deterministic: identical call sequences yield identical
 /// [`RoundDelivery`]s on every backend.
 pub trait Transport: fmt::Debug + Send {
-    /// Human-readable backend name (`"inmemory"`, `"channel"`, `"socket"`).
+    /// Human-readable backend name (`"inmemory"`, `"channel"`, `"socket"`,
+    /// `"tcp"`).
     fn name(&self) -> &'static str;
 
     /// Number of simulated nodes.
@@ -373,16 +374,56 @@ impl TransportKind {
     }
 }
 
-/// Merges per-destination load triples into one canonical [`LinkLoads`]:
-/// globally sorted by `(src, dst)`, zero and self entries already excluded
-/// by construction of the inputs (and re-filtered by `add`).
-pub(crate) fn merge_loads(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {
-    triples.sort_unstable();
-    let mut loads = LinkLoads::new();
-    for (src, dst, words) in triples {
+/// Merges per-destination load triples into one canonical [`LinkLoads`],
+/// ordered by `(src, dst)`, without a comparison sort: a stable bucket pass
+/// on `dst`, then one on `src` (so shards may arrive in any order). Every
+/// backend accounts a link once, at its destination, so each `(src, dst)`
+/// appears at most once. Zero and self entries are excluded by
+/// construction of the inputs (and re-filtered by `add`).
+///
+/// # Panics
+///
+/// Panics if an entry names a node outside `0..n`: worker processes report
+/// these triples, and the bucket passes index by them.
+pub(crate) fn merge_loads(n: usize, triples: &[(usize, usize, usize)]) -> LinkLoads {
+    assert!(
+        triples.iter().all(|&(src, dst, _)| src < n && dst < n),
+        "link load names a node outside the clique (n={n})"
+    );
+    let canonical = bucket_by(n, &bucket_by(n, triples, |t| t.1), |t| t.0);
+    debug_assert!(
+        canonical
+            .windows(2)
+            .all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)),
+        "a link was accounted twice"
+    );
+    let mut loads = LinkLoads::with_capacity(canonical.len());
+    for (src, dst, words) in canonical {
         loads.add(src, dst, words);
     }
     loads
+}
+
+/// Stable counting sort of `triples` on `key`, a node index below `n`.
+fn bucket_by(
+    n: usize,
+    triples: &[(usize, usize, usize)],
+    key: impl Fn(&(usize, usize, usize)) -> usize,
+) -> Vec<(usize, usize, usize)> {
+    let mut next = vec![0usize; n + 1];
+    for t in triples {
+        next[key(t) + 1] += 1;
+    }
+    for i in 1..=n {
+        next[i] += next[i - 1];
+    }
+    let mut out = vec![(0, 0, 0); triples.len()];
+    for t in triples {
+        let slot = &mut next[key(t)];
+        out[*slot] = *t;
+        *slot += 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -478,5 +519,76 @@ mod tests {
             Err("sockets".to_string())
         );
         assert_eq!(TransportKind::resolve(Some(""), fb), Err(String::new()));
+    }
+
+    /// The historical merge: a comparison sort, then `add` in order.
+    fn sorted_reference(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {
+        triples.sort_unstable();
+        let mut loads = LinkLoads::new();
+        for (src, dst, words) in triples {
+            loads.add(src, dst, words);
+        }
+        loads
+    }
+
+    #[test]
+    fn merge_loads_orders_unsorted_triples() {
+        let triples = vec![
+            (3, 0, 2),
+            (0, 3, 1),
+            (2, 1, 5),
+            (0, 1, 4),
+            (3, 2, 7),
+            (1, 0, 1),
+        ];
+        let merged = merge_loads(4, &triples);
+        assert_eq!(merged, sorted_reference(triples));
+        assert_eq!(
+            merged.iter().collect::<Vec<_>>(),
+            vec![
+                (0, 1, 4),
+                (0, 3, 1),
+                (1, 0, 1),
+                (2, 1, 5),
+                (3, 0, 2),
+                (3, 2, 7)
+            ]
+        );
+    }
+
+    #[test]
+    fn merge_loads_orders_shards_arriving_out_of_dst_order() {
+        // Per-worker shards (each dst-major, src ascending within a dst),
+        // committed in the order workers answered: dsts 4..6, then 0..2,
+        // then 2..4. Node 5 sends nothing.
+        let shard = |dsts: std::ops::Range<usize>| -> Vec<(usize, usize, usize)> {
+            dsts.flat_map(|dst| {
+                (0..6)
+                    .filter(move |&src| src != dst && src != 5 && (src + dst) % 3 != 0)
+                    .map(move |src| (src, dst, 1 + src * 6 + dst))
+            })
+            .collect()
+        };
+        let mut triples = shard(4..6);
+        triples.extend(shard(0..2));
+        triples.extend(shard(2..4));
+        let merged = merge_loads(6, &triples);
+        assert_eq!(merged, sorted_reference(triples.clone()));
+        assert_eq!(merged.iter().count(), triples.len());
+        assert!(merged.iter().all(|(src, _, _)| src != 5));
+        // Already dst-ordered input, as the in-memory flush produces.
+        let dst_major = [shard(0..2), shard(2..4), shard(4..6)].concat();
+        assert_eq!(merge_loads(6, &dst_major), sorted_reference(dst_major));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the clique")]
+    fn merge_loads_rejects_out_of_range_nodes() {
+        let _ = merge_loads(3, &[(0, 1, 2), (1, 3, 1)]);
+    }
+
+    #[test]
+    fn merge_loads_of_nothing_is_empty() {
+        assert_eq!(merge_loads(3, &[]), LinkLoads::new());
     }
 }

@@ -303,7 +303,7 @@ impl Transport for SocketTransport {
         self.epoch += 1;
         RoundDelivery {
             inboxes,
-            loads: merge_loads(all_loads),
+            loads: merge_loads(n, &all_loads),
         }
     }
 

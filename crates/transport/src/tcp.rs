@@ -416,7 +416,7 @@ impl Transport for TcpTransport {
         self.epoch += 1;
         RoundDelivery {
             inboxes,
-            loads: merge_loads(all_loads),
+            loads: merge_loads(n, &all_loads),
         }
     }
 
@@ -509,7 +509,7 @@ impl Transport for TcpTransport {
                     }
                 }
             }
-            let loads = merge_loads(all_loads);
+            let loads = merge_loads(n, &all_loads);
             engine_rounds += 1;
             self.peer_bytes += round_peer_bytes;
             cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
